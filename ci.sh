@@ -68,6 +68,10 @@ cargo run -q -p scald-bench --release --bin case_tree -- --counts 10,1000 --mast
 # a 1000-case sweep must finish and the per-leaf fixed work must drop.
 cargo run -q -p scald-bench --release --bin case_sched -- --counts 10,1000 --master 100 --block 4 --out target/BENCH_sched_smoke.json
 
+# The layered benchmark (its own package under perfbench/) compiles
+# against the crates above: build it and run its unit tests.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # Examples must keep building; incr_session doubles as a smoke test of
 # the incremental re-verification subsystem (it asserts the warm report
 # is byte-identical to a cold run).

@@ -406,7 +406,7 @@ fn dispatch(
             let doc = if effort {
                 report.json_value()
             } else {
-                report.strip_effort().json_value()
+                report.stripped_json_value()
             };
             Response::Report {
                 id,

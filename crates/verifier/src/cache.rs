@@ -11,9 +11,13 @@
 //! instead of re-running the kernels.
 //!
 //! Invalidation is by construction: everything `evaluate` reads is in the
-//! key. The static half is rendered once per primitive into a
-//! *descriptor* string and interned to a `u32` signature, so netlist
-//! edits between `scald-incr` re-verifications produce new signatures for
+//! key. The static half — period, kind, delays and each connection's
+//! inversion, directive and resolved wire delay — is a structural
+//! *descriptor* (`PrimDescriptor`) interned to a `u32` signature. The
+//! interner hashes each primitive's fields where they lie in the netlist
+//! and compares them against the stored descriptors, so only a
+//! primitive with a description not seen before allocates. Netlist edits
+//! between `scald-incr` re-verifications produce new signatures for
 //! changed primitives and identical ones for untouched primitives —
 //! stale entries are unreachable, not purged.
 //!
@@ -23,13 +27,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
-use std::hash::{BuildHasher, RandomState};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use scald_netlist::{Netlist, Primitive};
-use scald_wave::{DelayCorner, Skew, WaveId};
+use scald_netlist::{EdgeDelays, Netlist, PrimKind, Primitive};
+use scald_wave::{DelayCorner, DelayRange, Skew, Time, WaveId};
 
 use crate::eval::EvalOutcome;
 use crate::view::StateView;
@@ -109,10 +112,11 @@ impl EvalCacheStats {
 ///
 /// [`VerifierBuilder::shared_eval_cache`]: crate::VerifierBuilder::shared_eval_cache
 pub struct EvalCache {
-    /// Descriptor-string → signature interner. Identical primitive
-    /// descriptions (across netlists, sessions, rebuilds) map to the same
-    /// signature, which is what makes warm-session reuse work.
-    sigs: Mutex<HashMap<String, u32>>,
+    /// Descriptor → signature interner, bucketed by the descriptor's
+    /// hash under `hasher`. Identical primitive descriptions (across
+    /// netlists, sessions, rebuilds) map to the same signature, which is
+    /// what makes warm-session reuse work.
+    sigs: Mutex<SigTable>,
     hasher: RandomState,
     shards: [RwLock<HashMap<EvalKey, EvalOutcome>>; SHARDS],
     hits: AtomicU64,
@@ -124,7 +128,7 @@ impl EvalCache {
     #[must_use]
     pub fn new() -> EvalCache {
         EvalCache {
-            sigs: Mutex::new(HashMap::new()),
+            sigs: Mutex::new(SigTable::default()),
             hasher: RandomState::new(),
             shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             hits: AtomicU64::new(0),
@@ -132,17 +136,23 @@ impl EvalCache {
         }
     }
 
-    /// Interns the static descriptor of `prim`, returning its signature —
-    /// or `None` for checker kinds, which compute nothing during the
-    /// fixed point and are not worth a table slot.
-    pub(crate) fn sig_for_prim(&self, netlist: &Netlist, prim: &Primitive) -> Option<u32> {
-        if prim.kind.is_checker() {
-            return None;
-        }
-        let desc = prim_descriptor(netlist, prim);
+    /// Interns the static descriptor of every primitive of `netlist`, in
+    /// primitive order, returning each signature — or `None` for checker
+    /// kinds, which compute nothing during the fixed point and are not
+    /// worth a table slot.
+    pub(crate) fn prim_sigs(&self, netlist: &Netlist) -> Vec<Option<u32>> {
         let mut sigs = self.sigs.lock().expect("eval cache poisoned");
-        let next = sigs.len() as u32;
-        Some(*sigs.entry(desc).or_insert(next))
+        netlist
+            .prims()
+            .iter()
+            .map(|prim| {
+                if prim.kind.is_checker() {
+                    return None;
+                }
+                let hash = descriptor_hash(&self.hasher, netlist, prim);
+                Some(sigs.intern(hash, netlist, prim))
+            })
+            .collect()
     }
 
     /// Builds the full key for evaluating `prim` (signature `sig`)
@@ -248,41 +258,206 @@ impl fmt::Debug for EvalCache {
     }
 }
 
-/// Renders everything `evaluate` reads from the netlist for one
-/// primitive: period, kind (with parameters), delays, and each
-/// connection's inversion, directive and *resolved* wire delay. Two
-/// primitives with equal descriptors evaluate identically on equal
-/// inputs — the invalidation-by-construction invariant.
-fn prim_descriptor(netlist: &Netlist, prim: &Primitive) -> String {
-    let mut d = String::with_capacity(96);
-    let _ = write!(
-        d,
-        "{:?}|{:?}|{:?}|{:?}",
-        netlist.config().timing.period,
-        prim.kind,
-        prim.delay,
-        prim.edge_delays,
-    );
-    for conn in &prim.inputs {
-        let _ = write!(
-            d,
-            "|{}:{:?}:{:?}",
-            conn.invert,
-            conn.directive,
-            netlist.wire_delay(conn),
-        );
+/// The static half of an evaluation key: everything `evaluate` reads
+/// from the netlist for one primitive — period, kind (with parameters),
+/// delays, and each connection's inversion, directive and *resolved*
+/// wire delay. Two primitives with equal descriptors evaluate
+/// identically on equal inputs — the invalidation-by-construction
+/// invariant.
+struct PrimDescriptor {
+    period: Time,
+    kind: PrimKind,
+    delay: DelayRange,
+    edge_delays: Option<EdgeDelays>,
+    inputs: Box<[ConnDescriptor]>,
+}
+
+/// One connection's part of a [`PrimDescriptor`].
+struct ConnDescriptor {
+    invert: bool,
+    directive: Option<Box<str>>,
+    wire_delay: DelayRange,
+}
+
+impl PrimDescriptor {
+    fn new(netlist: &Netlist, prim: &Primitive) -> PrimDescriptor {
+        PrimDescriptor {
+            period: netlist.config().timing.period,
+            kind: prim.kind,
+            delay: prim.delay,
+            edge_delays: prim.edge_delays,
+            inputs: prim
+                .inputs
+                .iter()
+                .map(|conn| ConnDescriptor {
+                    invert: conn.invert,
+                    directive: conn.directive.as_deref().map(Box::from),
+                    wire_delay: netlist.wire_delay(conn),
+                })
+                .collect(),
+        }
     }
-    d
+
+    /// `true` if `prim` (in `netlist`) has exactly this description.
+    fn describes(&self, netlist: &Netlist, prim: &Primitive) -> bool {
+        self.period == netlist.config().timing.period
+            && self.kind == prim.kind
+            && self.delay == prim.delay
+            && self.edge_delays == prim.edge_delays
+            && self.inputs.len() == prim.inputs.len()
+            && self.inputs.iter().zip(&prim.inputs).all(|(d, conn)| {
+                d.invert == conn.invert
+                    && d.directive.as_deref() == conn.directive.as_deref()
+                    && d.wire_delay == netlist.wire_delay(conn)
+            })
+    }
+}
+
+/// Hashes the fields a [`PrimDescriptor`] of `prim` would hold, read in
+/// place from the netlist.
+fn descriptor_hash(hasher: &RandomState, netlist: &Netlist, prim: &Primitive) -> u64 {
+    let mut h = hasher.build_hasher();
+    netlist.config().timing.period.hash(&mut h);
+    prim.kind.hash(&mut h);
+    prim.delay.hash(&mut h);
+    prim.edge_delays.hash(&mut h);
+    prim.inputs.len().hash(&mut h);
+    for conn in &prim.inputs {
+        conn.invert.hash(&mut h);
+        conn.directive.as_deref().hash(&mut h);
+        netlist.wire_delay(conn).hash(&mut h);
+    }
+    h.finish()
+}
+
+/// The signature interner: descriptors bucketed by [`descriptor_hash`],
+/// each with the signature it was assigned in order of first sight.
+#[derive(Default)]
+struct SigTable {
+    buckets: HashMap<u64, Vec<(PrimDescriptor, u32)>>,
+    len: u32,
+}
+
+impl SigTable {
+    /// The signature of `prim`, whose descriptor hashes to `hash`; a new
+    /// description gets the next free signature.
+    fn intern(&mut self, hash: u64, netlist: &Netlist, prim: &Primitive) -> u32 {
+        let bucket = self.buckets.entry(hash).or_default();
+        if let Some((_, sig)) = bucket.iter().find(|(d, _)| d.describes(netlist, prim)) {
+            return *sig;
+        }
+        let sig = self.len;
+        self.len += 1;
+        bucket.push((PrimDescriptor::new(netlist, prim), sig));
+        sig
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scald_gen::s1::{s1_like_netlist, S1Options};
+    use scald_gen::scale::{scale_netlist, ScaleOptions};
+    use scald_gen::sweep::{sweep_netlist, SweepOptions};
     use scald_logic::Value;
-    use scald_netlist::{Config, NetlistBuilder, PrimKind};
-    use scald_wave::{DelayRange, Time, Waveform};
+    use scald_netlist::{Config, NetlistBuilder};
+    use scald_wave::Waveform;
+    use std::fmt::Write as _;
 
     use crate::state::SignalState;
+
+    /// The descriptor the interner keyed on before it went structural:
+    /// the `Debug` rendering of every field `evaluate` reads. Kept as the
+    /// oracle the structural descriptor must partition primitives like.
+    fn prim_descriptor(netlist: &Netlist, prim: &Primitive) -> String {
+        let mut d = String::with_capacity(96);
+        let _ = write!(
+            d,
+            "{:?}|{:?}|{:?}|{:?}",
+            netlist.config().timing.period,
+            prim.kind,
+            prim.delay,
+            prim.edge_delays,
+        );
+        for conn in &prim.inputs {
+            let _ = write!(
+                d,
+                "|{}:{:?}:{:?}",
+                conn.invert,
+                conn.directive,
+                netlist.wire_delay(conn),
+            );
+        }
+        d
+    }
+
+    /// Asserts that two primitives of `netlist` share a signature exactly
+    /// when they share the old descriptor string, and that interning a
+    /// rebuilt copy of the netlist returns the same signatures.
+    fn assert_partition_matches_strings(label: &str, netlist: &Netlist, rebuilt: &Netlist) {
+        let cache = EvalCache::new();
+        let sigs = cache.prim_sigs(netlist);
+        let mut by_string: HashMap<String, u32> = HashMap::new();
+        let mut by_sig: HashMap<u32, String> = HashMap::new();
+        for (prim, sig) in netlist.prims().iter().zip(&sigs) {
+            let Some(sig) = *sig else {
+                assert!(
+                    prim.kind.is_checker(),
+                    "{label}: {} has no signature",
+                    prim.name
+                );
+                continue;
+            };
+            let desc = prim_descriptor(netlist, prim);
+            assert_eq!(
+                *by_string.entry(desc.clone()).or_insert(sig),
+                sig,
+                "{label}: equal descriptor strings got different signatures: {desc}"
+            );
+            assert_eq!(
+                *by_sig.entry(sig).or_insert_with(|| desc.clone()),
+                desc,
+                "{label}: signature {sig} covers different descriptor strings"
+            );
+        }
+        assert!(!by_sig.is_empty(), "{label}: nothing was interned");
+        assert_eq!(
+            cache.prim_sigs(rebuilt),
+            sigs,
+            "{label}: a rebuilt netlist must reuse every signature"
+        );
+    }
+
+    #[test]
+    fn structural_signatures_partition_like_descriptor_strings() {
+        let s1 = || s1_like_netlist(S1Options::default()).0;
+        assert_partition_matches_strings("s1_like", &s1(), &s1());
+        let scale = || scale_netlist(&ScaleOptions::prims(10_000)).0;
+        assert_partition_matches_strings("scale 10k", &scale(), &scale());
+        let sweep = || sweep_netlist(&SweepOptions::default()).0;
+        assert_partition_matches_strings("sweep", &sweep(), &sweep());
+
+        let designs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../designs");
+        let mut files: Vec<_> = std::fs::read_dir(designs)
+            .expect("designs directory")
+            .map(|e| e.expect("directory entry").path())
+            .collect();
+        files.sort();
+        let mut shipped = 0;
+        for path in files {
+            let src = std::fs::read_to_string(&path).expect("design source");
+            let compile = || match path.extension().and_then(|e| e.to_str()) {
+                Some("scald") => Some(scald_hdl::compile(&src).expect("design compiles").netlist),
+                Some("v") => Some(scald_rtl::compile(&src).expect("design compiles").netlist),
+                _ => None,
+            };
+            if let (Some(netlist), Some(rebuilt)) = (compile(), compile()) {
+                assert_partition_matches_strings(&path.display().to_string(), &netlist, &rebuilt);
+                shipped += 1;
+            }
+        }
+        assert!(shipped >= 5, "every shipped design was checked");
+    }
 
     fn tiny() -> Netlist {
         let mut b = NetlistBuilder::new(Config::s1_example());
@@ -310,12 +485,11 @@ mod tests {
     fn signatures_distinguish_prims_and_dedupe_equal_descriptors() {
         let n = tiny();
         let cache = EvalCache::new();
-        let buf = cache.sig_for_prim(&n, &n.prims()[0]).unwrap();
-        let inv = cache.sig_for_prim(&n, &n.prims()[1]).unwrap();
-        assert_ne!(buf, inv, "different kinds, different signatures");
+        let sigs = cache.prim_sigs(&n);
+        assert!(sigs.iter().all(Option::is_some));
+        assert_ne!(sigs[0], sigs[1], "different kinds, different signatures");
         // Re-interning (as a rebuilt session would) is stable.
-        assert_eq!(cache.sig_for_prim(&n, &n.prims()[0]), Some(buf));
-        assert_eq!(cache.sig_for_prim(&n, &n.prims()[1]), Some(inv));
+        assert_eq!(cache.prim_sigs(&n), sigs);
     }
 
     #[test]
@@ -323,7 +497,7 @@ mod tests {
         let n = tiny();
         let cache = EvalCache::new();
         let prim = &n.prims()[0];
-        let sig = cache.sig_for_prim(&n, prim).unwrap();
+        let sig = cache.prim_sigs(&n)[0].unwrap();
         let period = n.config().timing.period;
         let states = vec![
             SignalState::new(Waveform::constant(period, Value::Zero)),
@@ -368,7 +542,7 @@ mod tests {
         );
         let n = b.finish().unwrap();
         let cache = EvalCache::new();
-        assert_eq!(cache.sig_for_prim(&n, &n.prims()[0]), None);
+        assert_eq!(cache.prim_sigs(&n), vec![None]);
         assert!(cache.is_empty());
     }
 }

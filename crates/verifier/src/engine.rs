@@ -591,13 +591,7 @@ impl VerifierBuilder {
             // Intern every primitive's static descriptor once: unchanged
             // prims of a rebuilt (incr-session) netlist land on the same
             // signature, which is what makes warm re-runs hit.
-            v.prim_sigs = Arc::new(
-                v.netlist
-                    .prims()
-                    .iter()
-                    .map(|p| cache.sig_for_prim(&v.netlist, p))
-                    .collect(),
-            );
+            v.prim_sigs = Arc::new(cache.prim_sigs(&v.netlist));
             v.eval_cache = Some(cache);
         }
         v.jobs = self.jobs.unwrap_or_else(default_jobs);

@@ -85,7 +85,7 @@
 
 use scald_trace::json::Json;
 use scald_wave::{Span, Time, Waveform};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::time::Duration;
 
 use crate::cache::EvalCacheStats;
@@ -359,11 +359,14 @@ impl CaseResult {
         self.violations.is_empty()
     }
 
-    fn json_value(&self) -> Json {
+    /// The case's JSON object; without `effort`, its events and
+    /// evaluations read 0, as after [`Report::strip_effort`].
+    fn json_value(&self, effort: bool) -> Json {
+        let effort_count = |n: u64| Json::from(if effort { n } else { 0 });
         Json::Obj(vec![
             ("name".into(), Json::str(&self.name)),
-            ("events".into(), Json::from(self.events)),
-            ("evaluations".into(), Json::from(self.evaluations)),
+            ("events".into(), effort_count(self.events)),
+            ("evaluations".into(), effort_count(self.evaluations)),
             (
                 "value_records".into(),
                 Json::from(self.value_records as u64),
@@ -516,6 +519,22 @@ pub struct EngineStats {
     pub eval_cache: Option<EvalCacheStats>,
 }
 
+impl EngineStats {
+    /// The statistics with every effort counter cleared: the engine half
+    /// of [`Report::strip_effort`].
+    fn without_effort(self) -> EngineStats {
+        EngineStats {
+            jobs: 0,
+            case_strategy: CaseStrategy::default(),
+            events: 0,
+            evaluations: 0,
+            verify_wall: None,
+            eval_cache: None,
+            ..self
+        }
+    }
+}
+
 /// Everything one verification run produced, in one place: per-case
 /// results (violations with provenance), engine statistics, the slack
 /// and storage views, the assumed-stable cross-reference, and the
@@ -577,12 +596,7 @@ impl Report {
     #[must_use]
     pub fn strip_effort(&self) -> Report {
         let mut r = self.clone();
-        r.engine.jobs = 0;
-        r.engine.case_strategy = CaseStrategy::default();
-        r.engine.events = 0;
-        r.engine.evaluations = 0;
-        r.engine.verify_wall = None;
-        r.engine.eval_cache = None;
+        r.engine = r.engine.without_effort();
         for case in &mut r.cases {
             case.events = 0;
             case.evaluations = 0;
@@ -655,23 +669,42 @@ impl Report {
     /// may append extra top-level sections before printing.
     #[must_use]
     pub fn json_value(&self) -> Json {
+        self.json_doc(true)
+    }
+
+    /// The document of the effort-stripped report — equal to
+    /// `self.strip_effort().json_value()`, without copying the report's
+    /// waveforms and names to get it.
+    #[must_use]
+    pub fn stripped_json_value(&self) -> Json {
+        self.json_doc(false)
+    }
+
+    /// The JSON document; without `effort`, the effort counters read as
+    /// [`strip_effort`](Self::strip_effort) leaves them.
+    fn json_doc(&self, effort: bool) -> Json {
         let mut doc;
+        let stats = if effort {
+            self.engine
+        } else {
+            self.engine.without_effort()
+        };
         let engine = Json::Obj(vec![
-            ("signals".into(), Json::from(self.engine.signals as u64)),
-            ("prims".into(), Json::from(self.engine.prims as u64)),
-            ("cases".into(), Json::from(self.engine.cases as u64)),
-            ("jobs".into(), Json::from(self.engine.jobs as u64)),
+            ("signals".into(), Json::from(stats.signals as u64)),
+            ("prims".into(), Json::from(stats.prims as u64)),
+            ("cases".into(), Json::from(stats.cases as u64)),
+            ("jobs".into(), Json::from(stats.jobs as u64)),
             // Schema v1 additive extension: which case-scheduling path
             // the run resolved to ("auto" until the engine has run).
             (
                 "case_strategy".into(),
-                Json::Str(self.engine.case_strategy.as_str().into()),
+                Json::Str(stats.case_strategy.as_str().into()),
             ),
-            ("events".into(), Json::from(self.engine.events)),
-            ("evaluations".into(), Json::from(self.engine.evaluations)),
+            ("events".into(), Json::from(stats.events)),
+            ("evaluations".into(), Json::from(stats.evaluations)),
             (
                 "wall_ns".into(),
-                self.engine.verify_wall.map_or(Json::Null, |d| {
+                stats.verify_wall.map_or(Json::Null, |d| {
                     Json::from(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
                 }),
             ),
@@ -679,19 +712,17 @@ impl Report {
             // the evaluation cache is disabled (`--no-eval-cache`).
             (
                 "cache_hits".into(),
-                self.engine
-                    .eval_cache
-                    .map_or(Json::Null, |c| Json::from(c.hits)),
+                stats.eval_cache.map_or(Json::Null, |c| Json::from(c.hits)),
             ),
             (
                 "cache_misses".into(),
-                self.engine
+                stats
                     .eval_cache
                     .map_or(Json::Null, |c| Json::from(c.misses)),
             ),
             (
                 "cache_entries".into(),
-                self.engine
+                stats
                     .eval_cache
                     .map_or(Json::Null, |c| Json::from(c.entries as u64)),
             ),
@@ -743,7 +774,7 @@ impl Report {
                 .map(|(name, wave)| {
                     Json::Obj(vec![
                         ("signal".into(), Json::str(name)),
-                        ("wave".into(), Json::str(wave.to_string())),
+                        ("wave".into(), Json::Str(wave_text(wave))),
                     ])
                 })
                 .collect(),
@@ -760,7 +791,7 @@ impl Report {
             ("engine".into(), engine),
             (
                 "cases".into(),
-                Json::Arr(self.cases.iter().map(CaseResult::json_value).collect()),
+                Json::Arr(self.cases.iter().map(|c| c.json_value(effort)).collect()),
             ),
             ("slack".into(), slack),
             ("storage".into(), storage),
@@ -784,6 +815,14 @@ impl Report {
     pub fn to_json(&self) -> String {
         self.json_value().to_string_pretty()
     }
+}
+
+/// The Fig 3-10 value listing of `wave`, in a string sized for it up
+/// front (a listed segment takes about eight bytes).
+fn wave_text(wave: &Waveform) -> String {
+    let mut text = String::with_capacity(8 * (wave.transitions().len() + 1));
+    write!(text, "{wave}").expect("String write cannot fail");
+    text
 }
 
 /// Formats the Fig 3-10 signal-value summary from sorted waveform rows.

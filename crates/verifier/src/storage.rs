@@ -75,7 +75,12 @@ impl StorageReport {
         let string_space: usize = netlist
             .signals()
             .iter()
-            .map(|s| s.full_name().len())
+            // Only an asserted name differs from the bare one.
+            .map(|s| {
+                s.assertion
+                    .as_ref()
+                    .map_or(s.name.len(), |_| s.full_name().len())
+            })
             .sum::<usize>()
             + netlist.prims().iter().map(|p| p.name.len()).sum::<usize>();
 

@@ -132,13 +132,20 @@ impl Mul<i64> for Time {
 
 impl fmt::Display for Time {
     /// Formats in nanoseconds the way the thesis' listings do
-    /// (`11.5`, `0.0`, `6.25`).
+    /// (`11.5`, `0.0`, `6.25`): at least one decimal, no trailing zeros
+    /// beyond it. The digits come straight from the integer picoseconds,
+    /// so they are exact; below 10^15 ps they are also the digits the
+    /// shortest `f64` rendering of the nanoseconds gives.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ns = self.as_ns();
-        if (ns * 10.0).fract().abs() < 1e-9 {
-            write!(f, "{ns:.1}")
+        let sign = if self.0 < 0 { "-" } else { "" };
+        let ps = self.0.unsigned_abs();
+        let (ns, frac) = (ps / 1000, ps % 1000);
+        if frac % 100 == 0 {
+            write!(f, "{sign}{ns}.{}", frac / 100)
+        } else if frac % 10 == 0 {
+            write!(f, "{sign}{ns}.{:02}", frac / 10)
         } else {
-            write!(f, "{ns}")
+            write!(f, "{sign}{ns}.{frac:03}")
         }
     }
 }
@@ -403,6 +410,35 @@ mod tests {
         assert_eq!(Time::from_ns(11.5).to_string(), "11.5");
         assert_eq!(Time::from_ns(50.0).to_string(), "50.0");
         assert_eq!(Time::from_ns(6.25).to_string(), "6.25");
+    }
+
+    /// `Display` as it was written before it formatted the integer
+    /// picoseconds: through the `f64` nanoseconds. The reference for the
+    /// digits below 10^15 ps.
+    fn reference_display(t: Time) -> String {
+        let ns = t.as_ns();
+        if (ns * 10.0).fract().abs() < 1e-9 {
+            format!("{ns:.1}")
+        } else {
+            format!("{ns}")
+        }
+    }
+
+    #[test]
+    fn display_matches_float_rendering() {
+        for ps in -200_000..=200_000 {
+            let t = Time::from_ps(ps);
+            assert_eq!(t.to_string(), reference_display(t), "{ps} ps");
+        }
+        let mut rng = scald_rng::Rng::seed_from_u64(0x71e);
+        for _ in 0..30_000 {
+            let ps = rng.range_i64(-999_999_999_999_999, 1_000_000_000_000_000);
+            // Whole, tenth, hundredth and thousandth nanoseconds.
+            for unit in [1000, 100, 10, 1] {
+                let t = Time::from_ps(ps / unit * unit);
+                assert_eq!(t.to_string(), reference_display(t), "{} ps", t.as_ps());
+            }
+        }
     }
 
     #[test]

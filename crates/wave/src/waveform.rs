@@ -209,24 +209,36 @@ impl Waveform {
     /// listings print (Fig 3-10).
     #[must_use]
     pub fn segments(&self) -> Vec<(Time, Value, Time)> {
-        let mut out = Vec::with_capacity(self.trans.len() + 1);
-        if self.is_constant() {
-            return vec![(Time::ZERO, self.trans[0].1, self.period)];
-        }
-        let first_t = self.trans[0].0;
-        if first_t > Time::ZERO {
-            // The wrapped tail of the last run.
-            let last_v = self.trans.last().expect("non-empty").1;
-            out.push((Time::ZERO, last_v, first_t));
-        }
-        for (i, &(t, v)) in self.trans.iter().enumerate() {
-            let end = self
-                .trans
-                .get(i + 1)
-                .map_or(self.period, |&(t_next, _)| t_next);
-            out.push((t, v, end - t));
-        }
-        out
+        self.segment_iter().collect()
+    }
+
+    /// The [`segments`](Self::segments), walked in place.
+    fn segment_iter(&self) -> impl Iterator<Item = (Time, Value, Time)> + '_ {
+        (0..self.segment_count()).map(|k| self.segment(k))
+    }
+
+    /// The number of [`segments`](Self::segments): one per transition,
+    /// plus the wrapped tail of the last run when no transition sits at
+    /// time 0.
+    pub(crate) fn segment_count(&self) -> usize {
+        self.trans.len() + usize::from(self.trans[0].0 > Time::ZERO)
+    }
+
+    /// Segment `k` of [`segments`](Self::segments), computed in place.
+    pub(crate) fn segment(&self, k: usize) -> (Time, Value, Time) {
+        let (first_t, _) = self.trans[0];
+        let i = if first_t > Time::ZERO {
+            if k == 0 {
+                let (_, last_v) = self.trans[self.trans.len() - 1];
+                return (Time::ZERO, last_v, first_t);
+            }
+            k - 1
+        } else {
+            k
+        };
+        let (t, v) = self.trans[i];
+        let end = self.trans.get(i + 1).map_or(self.period, |&(next, _)| next);
+        (t, v, end - t)
     }
 
     /// Replaces the signal's value with `value` over `span`.
@@ -340,43 +352,49 @@ impl Waveform {
     /// their start time.
     #[must_use]
     pub fn spans_where(&self, pred: impl Fn(Value) -> bool) -> Vec<Span> {
-        let segs = self.segments();
-        let matches: Vec<bool> = segs.iter().map(|&(_, v, _)| pred(v)).collect();
-        if matches.iter().all(|&m| m) {
-            return vec![Span::full(self.period)];
-        }
-        if !matches.iter().any(|&m| m) {
-            return Vec::new();
-        }
-        let n = segs.len();
-        let mut spans = Vec::new();
+        self.spans_where_iter(pred).collect()
+    }
+
+    /// The spans of [`spans_where`](Self::spans_where), in the same
+    /// order, computed as they are consumed instead of collected.
+    pub fn spans_where_iter<'a>(
+        &'a self,
+        pred: impl Fn(Value) -> bool + 'a,
+    ) -> impl Iterator<Item = Span> + 'a {
+        let n = self.segment_count();
+        let matches = move |k: usize| pred(self.segment(k).1);
+        let mut full = (0..n).all(&matches);
         let mut i = 0;
-        while i < n {
-            if matches[i] && (i > 0 || !matches[n - 1]) {
-                // Start of a run (runs beginning at segment 0 that continue
-                // from the end of the period are handled from their true
-                // start at the tail).
-                let start = segs[i].0;
-                let mut width = Time::ZERO;
-                let mut j = i;
-                while matches[j % n] {
-                    width += segs[j % n].2;
-                    j += 1;
-                    if j % n == i {
-                        break;
+        std::iter::from_fn(move || {
+            if full {
+                full = false;
+                i = n;
+                return Some(Span::full(self.period));
+            }
+            while i < n {
+                if matches(i) && (i > 0 || !matches(n - 1)) {
+                    // Start of a run (runs beginning at segment 0 that
+                    // continue from the end of the period are handled
+                    // from their true start at the tail).
+                    let start = self.segment(i).0;
+                    let mut width = Time::ZERO;
+                    let mut j = i;
+                    while matches(j % n) {
+                        width += self.segment(j % n).2;
+                        j += 1;
+                        if j % n == i {
+                            break;
+                        }
                     }
+                    // Past the end means the run wrapped; then it is the
+                    // last one.
+                    i = if j <= n { j } else { n };
+                    return Some(Span::new(start, width, self.period));
                 }
-                spans.push(Span::new(start, width, self.period));
-                if j <= n {
-                    i = j;
-                } else {
-                    break; // wrapped past the end; done
-                }
-            } else {
                 i += 1;
             }
-        }
-        spans
+            None
+        })
     }
 
     /// `true` if the signal is guaranteed quiescent (`0`, `1` or `S`)
@@ -396,7 +414,7 @@ impl Waveform {
             if a == b {
                 continue;
             }
-            for &(t, v, w) in &self.segments() {
+            for (t, v, w) in self.segment_iter() {
                 // Segment [t, t+w) overlaps piece [a, b)?
                 if t < b && a < t + w && !v.is_quiescent() {
                     return false;
@@ -455,9 +473,9 @@ impl fmt::Display for Waveform {
     /// Formats as the summary-listing style of Fig 3-10: alternating value
     /// mnemonics and the times (in ns) at which the value starts.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, (start, v, _)) in self.segments().into_iter().enumerate() {
+        for (i, (start, v, _)) in self.segment_iter().enumerate() {
             if i > 0 {
-                write!(f, " ")?;
+                f.write_str(" ")?;
             }
             write!(f, "{v} {start}")?;
         }
@@ -777,5 +795,101 @@ mod tests {
     fn display_is_listing_style() {
         let w = clock_10_20();
         assert_eq!(w.to_string(), "0 0.0 1 10.0 0 20.0");
+    }
+
+    /// `segments` as it was written before the in-place walk: the
+    /// reference for `segment_iter`.
+    fn reference_segments(w: &Waveform) -> Vec<(Time, Value, Time)> {
+        let trans = w.transitions();
+        if w.is_constant() {
+            return vec![(Time::ZERO, trans[0].1, w.period())];
+        }
+        let mut out = Vec::new();
+        if trans[0].0 > Time::ZERO {
+            out.push((Time::ZERO, trans[trans.len() - 1].1, trans[0].0));
+        }
+        for (i, &(t, v)) in trans.iter().enumerate() {
+            let end = trans.get(i + 1).map_or(w.period(), |&(t_next, _)| t_next);
+            out.push((t, v, end - t));
+        }
+        out
+    }
+
+    /// `spans_where` as it was written before it walked the segments in
+    /// place: the reference for `spans_where_iter`.
+    fn reference_spans_where(w: &Waveform, pred: impl Fn(Value) -> bool) -> Vec<Span> {
+        let segs = reference_segments(w);
+        let matches: Vec<bool> = segs.iter().map(|&(_, v, _)| pred(v)).collect();
+        if matches.iter().all(|&m| m) {
+            return vec![Span::full(w.period())];
+        }
+        if !matches.iter().any(|&m| m) {
+            return Vec::new();
+        }
+        let n = segs.len();
+        let mut spans = Vec::new();
+        let mut i = 0;
+        while i < n {
+            if matches[i] && (i > 0 || !matches[n - 1]) {
+                let start = segs[i].0;
+                let mut width = Time::ZERO;
+                let mut j = i;
+                while matches[j % n] {
+                    width += segs[j % n].2;
+                    j += 1;
+                    if j % n == i {
+                        break;
+                    }
+                }
+                spans.push(Span::new(start, width, w.period()));
+                if j <= n {
+                    i = j;
+                } else {
+                    break;
+                }
+            } else {
+                i += 1;
+            }
+        }
+        spans
+    }
+
+    /// The segment walk, the spans found on it and the listing `Display`
+    /// prints from it match the references on random waveforms, wrapped
+    /// runs included.
+    #[test]
+    fn segment_walks_and_display_match_reference() {
+        let mut rng = scald_rng::Rng::seed_from_u64(0x5e9);
+        let values = [Zero, One, Stable, Change, Rise, Fall, Unknown];
+        for _ in 0..500 {
+            let trans: Vec<(Time, Value)> = (0..rng.range_usize(1, 8))
+                .map(|_| {
+                    let t = Time::from_ps(rng.range_i64(0, 50_000) / 125 * 125);
+                    (t, *rng.choose(&values))
+                })
+                .collect();
+            let w = Waveform::from_transitions(P, trans);
+            let reference = reference_segments(&w);
+            assert_eq!(w.segments(), reference, "{:?}", w.transitions());
+            let preds: [fn(Value) -> bool; 4] = [
+                Value::is_quiescent,
+                Value::is_transitioning,
+                Value::could_be_high,
+                |v| v == Unknown,
+            ];
+            for pred in preds {
+                assert_eq!(
+                    w.spans_where(pred),
+                    reference_spans_where(&w, pred),
+                    "{:?}",
+                    w.transitions()
+                );
+            }
+            let listed: Vec<String> = reference
+                .iter()
+                .map(|(start, v, _)| format!("{v} {start}"))
+                .collect();
+            assert_eq!(w.to_string(), listed.join(" "), "{:?}", w.transitions());
+        }
     }
 }
