@@ -110,25 +110,15 @@ impl TimeRange {
 }
 
 impl fmt::Display for TimeRange {
+    /// Renders exactly: parsing the text gives back the same range. Whole
+    /// times print without a fraction (`2-3`), whole widths with one
+    /// decimal (`2+10.0`), anything else in full (`2+10.25`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn num(f: &mut fmt::Formatter<'_>, x: f64) -> fmt::Result {
-            if x.fract() == 0.0 {
-                write!(f, "{}", x as i64)
-            } else {
-                write!(f, "{x}")
-            }
-        }
         match *self {
-            TimeRange::Single(t) => num(f, t),
-            TimeRange::Units(a, b) => {
-                num(f, a)?;
-                write!(f, "-")?;
-                num(f, b)
-            }
-            TimeRange::UnitsPlusNs(a, w) => {
-                num(f, a)?;
-                write!(f, "+{w:.1}")
-            }
+            TimeRange::Single(t) => write!(f, "{t}"),
+            TimeRange::Units(a, b) => write!(f, "{a}-{b}"),
+            TimeRange::UnitsPlusNs(a, w) if w.fract() == 0.0 => write!(f, "{a}+{w:.1}"),
+            TimeRange::UnitsPlusNs(a, w) => write!(f, "{a}+{w}"),
         }
     }
 }
@@ -454,7 +444,8 @@ impl<'a> Tokenizer<'a> {
         self.rest.next();
     }
 
-    /// Parses an optionally signed decimal number. Skips leading spaces.
+    /// Parses an optionally signed, finite decimal number. Skips leading
+    /// spaces.
     fn number(&mut self) -> Option<f64> {
         self.skip_ws();
         let s = self.rest.as_str();
@@ -470,7 +461,7 @@ impl<'a> Tokenizer<'a> {
         if len == digits_start {
             return None;
         }
-        let parsed: f64 = s[..len].parse().ok()?;
+        let parsed: f64 = s[..len].parse().ok().filter(|x: &f64| x.is_finite())?;
         for _ in 0..len {
             self.bump();
         }

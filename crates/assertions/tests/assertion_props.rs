@@ -173,3 +173,101 @@ fn to_state_paints_asserted_value() {
         }
     }
 }
+
+/// A non-negative number as a designer might write it, or not: small
+/// integers, eighths, hundredths, arbitrary fractions and integers far
+/// beyond `i64`.
+fn rich_number(rng: &mut Rng) -> f64 {
+    match rng.range_u32(0, 6) {
+        0 => f64::from(rng.range_u32(0, 16)),
+        1 => f64::from(rng.range_u32(0, 128)) / 8.0,
+        2 => f64::from(rng.range_u32(0, 10_000)) / 100.0,
+        3 => rng.range_f64(0.0, 100.0),
+        4 => rng.range_f64(0.0, 1.0) * 1e-3,
+        _ => (rng.range_f64(1.0, 10.0) * 1e19).round(),
+    }
+}
+
+fn rich_range(rng: &mut Rng) -> TimeRange {
+    let a = rich_number(rng);
+    match rng.range_u32(0, 3) {
+        0 => TimeRange::Single(a),
+        1 => TimeRange::Units(a, rich_number(rng)),
+        _ => TimeRange::UnitsPlusNs(a, rich_number(rng)),
+    }
+}
+
+/// Assertions of every kind, with several ranges, fractional bounds,
+/// explicit skews (clocks only) and `L`.
+fn rich_assertion(rng: &mut Rng) -> Assertion {
+    let kind = kind(rng);
+    let ranges = (0..rng.range_usize(1, 5))
+        .map(|_| rich_range(rng))
+        .collect();
+    let skew = (kind.is_clock() && rng.bool()).then(|| (-rich_number(rng), rich_number(rng)));
+    Assertion {
+        kind,
+        ranges,
+        skew,
+        active_low: rng.bool(),
+    }
+}
+
+/// Splits a full name and renders it back the way the macro expander
+/// does: the base, then the assertion suffix after one space.
+fn split_and_render(full: &str) -> (String, Option<Assertion>, String) {
+    let (base, a) = parse_signal_name(full).unwrap_or_else(|e| panic!("{full:?}: {e}"));
+    let rendered = match &a {
+        Some(a) => format!("{base} {a}"),
+        None => base.clone(),
+    };
+    (base, a, rendered)
+}
+
+/// Rendering is exact: `parse_assertion(&a.to_string()) == a` for every
+/// assertion, and splitting a rendered signal name gives back the same
+/// base and assertion. The macro expander stores the assertion it split
+/// from the source directly, which is sound only because of this.
+#[test]
+fn rendering_round_trips_exactly() {
+    let mut rng = Rng::seed_from_u64(0xa55e_0004);
+    for _ in 0..CASES * 4 {
+        let a = rich_assertion(&mut rng);
+        let text = a.to_string();
+        let parsed =
+            parse_assertion(&text).unwrap_or_else(|e| panic!("{text:?} failed to parse: {e}"));
+        assert_eq!(parsed, a, "text: {text}");
+        assert_eq!(parsed.to_string(), text, "rendering is stable");
+
+        // A base that may itself read like an assertion: only the last
+        // suffix is split off, and rendering keeps the rest verbatim.
+        let mut base = base_name(&mut rng);
+        if rng.bool_with(0.3) {
+            base.push_str(&format!(" {}", rich_assertion(&mut rng)));
+        }
+        for full in [
+            base.clone(),
+            format!("{base} {a}"),
+            format!("  {base}   {a}  "),
+        ] {
+            let (b1, a1, rendered) = split_and_render(&full);
+            let (b2, a2, rendered2) = split_and_render(&rendered);
+            assert_eq!((&b2, &a2), (&b1, &a1), "{full:?} -> {rendered:?}");
+            assert_eq!(rendered2, rendered, "{full:?}");
+        }
+    }
+}
+
+/// Numbers too large for `f64` are rejected rather than read as infinity,
+/// whose rendering would not parse back.
+#[test]
+fn non_finite_times_are_rejected() {
+    let huge = "9".repeat(400);
+    for text in [
+        format!(".S{huge}"),
+        format!(".C1+{huge}"),
+        format!(".P1-2 (-{huge},0)"),
+    ] {
+        assert!(parse_assertion(&text).is_err(), "{text}");
+    }
+}

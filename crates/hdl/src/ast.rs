@@ -179,24 +179,28 @@ impl Expr {
     ///
     /// # Errors
     ///
-    /// Returns the name of an unbound variable, or a division-by-zero
-    /// message.
+    /// Returns the name of an unbound variable, a division-by-zero
+    /// message, or an overflow message if an intermediate value leaves
+    /// the `i64` range.
     pub fn eval(&self, env: &Env) -> Result<i64, String> {
+        fn checked(x: Option<i64>) -> Result<i64, String> {
+            x.ok_or_else(|| "range expression overflows a 64-bit integer".to_owned())
+        }
         match self {
             Expr::Num(n) => Ok(*n),
             Expr::Var(v) => env
                 .get(v)
                 .copied()
                 .ok_or_else(|| format!("unbound parameter {v:?}")),
-            Expr::Add(a, b) => Ok(a.eval(env)? + b.eval(env)?),
-            Expr::Sub(a, b) => Ok(a.eval(env)? - b.eval(env)?),
-            Expr::Mul(a, b) => Ok(a.eval(env)? * b.eval(env)?),
+            Expr::Add(a, b) => checked(a.eval(env)?.checked_add(b.eval(env)?)),
+            Expr::Sub(a, b) => checked(a.eval(env)?.checked_sub(b.eval(env)?)),
+            Expr::Mul(a, b) => checked(a.eval(env)?.checked_mul(b.eval(env)?)),
             Expr::Div(a, b) => {
                 let d = b.eval(env)?;
                 if d == 0 {
                     Err("division by zero in range expression".to_owned())
                 } else {
-                    Ok(a.eval(env)? / d)
+                    checked(a.eval(env)?.checked_div(d))
                 }
             }
         }
@@ -208,14 +212,18 @@ impl Expr {
 ///
 /// # Errors
 ///
-/// Propagates [`Expr::eval`] errors.
+/// Propagates [`Expr::eval`] errors, and rejects a range wider than
+/// `u32::MAX` bits.
 pub fn range_width(range: &Option<(Expr, Expr)>, env: &Env) -> Result<u32, String> {
     match range {
         None => Ok(1),
         Some((a, b)) => {
-            let a = a.eval(env)?;
-            let b = b.eval(env)?;
-            Ok(u32::try_from((a - b).abs() + 1).expect("width fits in u32"))
+            let (hi, lo) = (a.eval(env)?, b.eval(env)?);
+            i64::checked_sub(hi, lo)
+                .and_then(|d| d.checked_abs())
+                .and_then(|d| u32::try_from(d).ok())
+                .and_then(|d| d.checked_add(1))
+                .ok_or_else(|| format!("bit range <{hi}:{lo}> is wider than {} bits", u32::MAX))
         }
     }
 }
@@ -254,5 +262,31 @@ mod tests {
         // Descending ranges have the same width.
         let r = Some((Expr::Num(31), Expr::Num(0)));
         assert_eq!(range_width(&r, &env).unwrap(), 32);
+    }
+
+    #[test]
+    fn oversized_ranges_are_errors_not_panics() {
+        let env = Env::new();
+        let num = |n| Box::new(Expr::Num(n));
+        let width = |a, b| range_width(&Some((Expr::Num(a), Expr::Num(b))), &env);
+        assert_eq!(width(0, i64::from(u32::MAX) - 1).unwrap(), u32::MAX);
+        for (a, b) in [
+            (0, 5_000_000_000),
+            (0, i64::from(u32::MAX)),
+            (i64::MIN, 0),
+            (i64::MAX, -1),
+        ] {
+            let err = width(a, b).unwrap_err();
+            assert!(err.contains("wider than 4294967295 bits"), "{err}");
+        }
+        for e in [
+            Expr::Add(num(i64::MAX), num(1)),
+            Expr::Sub(num(i64::MIN), num(1)),
+            Expr::Mul(num(4_000_000_000), num(4_000_000_000)),
+            Expr::Div(num(i64::MIN), num(-1)),
+        ] {
+            let err = e.eval(&env).unwrap_err();
+            assert!(err.contains("overflows"), "{err}");
+        }
     }
 }

@@ -188,16 +188,6 @@ fn merge(a: &Case, b: &Case) -> Case {
     out.corner(corner)
 }
 
-/// Compatibility shim for pre-`CaseSet` callers that hand-rolled a
-/// `Vec<Case>`. Deprecated: build the set with a [`CaseSet`]
-/// constructor instead ([`CaseSet::list`] is the direct translation);
-/// this impl will be removed after one release.
-impl From<Vec<Case>> for CaseSet {
-    fn from(cases: Vec<Case>) -> CaseSet {
-        CaseSet { cases }
-    }
-}
-
 impl From<Case> for CaseSet {
     fn from(case: Case) -> CaseSet {
         CaseSet { cases: vec![case] }

@@ -198,10 +198,10 @@ impl RunOptions {
     }
 
     /// Sets the cases to analyse (§2.7), replacing any set before —
-    /// usually a [`CaseSet`] built with its sweep constructors; a plain
-    /// `Vec<Case>` still converts via the deprecated compatibility
-    /// shim. An empty set means "just the base case": the outcome then
-    /// holds one [`CaseResult`] with no overrides.
+    /// usually a [`CaseSet`] built with its sweep constructors (a list
+    /// of hand-built cases goes through [`CaseSet::list`]). An empty set
+    /// means "just the base case": the outcome then holds one
+    /// [`CaseResult`] with no overrides.
     pub fn cases(mut self, cases: impl Into<CaseSet>) -> RunOptions {
         self.cases = cases.into();
         self

@@ -65,6 +65,30 @@ fn missing_file_and_bad_usage_exit_two() {
 }
 
 #[test]
+fn oversized_bit_range_exits_two_with_a_diagnostic() {
+    let dir = std::env::temp_dir().join(format!("scald-tv-range-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("huge.scald");
+    std::fs::write(
+        &path,
+        "design HUGE; period 50.0; clock_unit 6.25;\n\
+         top;\n  signal 'A'<0:5000000000>;\n  buf (A) -> (B);\nend;\n",
+    )
+    .expect("write design");
+    let out = run(&[path.to_str().expect("utf-8 path")]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(exit_code(&out), 2, "stderr: {}", text(&out.stderr));
+    let stderr = text(&out.stderr);
+    assert!(
+        stderr.contains(
+            "expansion error at line 3: bit range <0:5000000000> is wider than 4294967295 bits"
+        ),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
 fn incremental_mode_usage_errors_exit_two() {
     let path = design("eco_edit_before.scald");
     // The incremental modes are text-only and mutually exclusive.
