@@ -41,6 +41,15 @@ cargo test -q -p scald-serve --test daemon --test serve_props
 cargo test -q -p scald-rtl --test cascade_race --test failures
 cargo test -q --test cross_frontend
 
+# The HDL expander suites alone: expand-vs-netlist error precedence and
+# overflow diagnostics, print/parse round trips, and the oracle that
+# holds the single-walk expander to the two-pass reference (identical
+# netlists, statistics and diagnostics).
+cargo test -q -p scald-hdl --test expand_errors --test roundtrip_props --test expand_oracle
+
+# Smoke Table 3-1, which reads ExpandStats' pass 1 / pass 2 timings.
+cargo run -q -p scald-bench --release --bin table_3_1 -- --chips 60
+
 # The gated-clock RTL design must be *red*: the verifier has to flag the
 # cascade race (exit 1), not pass it.
 ! cargo run -q --release --bin scald-tv -- designs/cascade_race.v
