@@ -25,8 +25,9 @@ cargo test -q --test cli
 cargo test -q -p scald-verifier --test parallel_settle --test parallel_cases --test eval_cache --test store_growth
 
 # The case-tree suite alone: 50-seed property that tree-factored sweeps
-# produce stripped reports byte-identical to the independent path at
-# 1/2/8 workers, plus the shared-prefix error-path test.
+# at 1/2/8 workers produce stripped reports byte-identical to running
+# each case as its own one-case run, plus the shared-prefix error paths
+# and the no-shared-prefix guard (no node, full passes, input order).
 cargo test -q -p scald-verifier --test case_tree
 cargo test -q -p scald-wave --test store_props
 
@@ -69,13 +70,10 @@ cargo run -q -p scald-bench --release --bin loadtest -- --clients 4 --chips 60 -
 
 # Smoke the case-tree sweep bench, 1000 cases on a slimmed design (the
 # committed BENCH_cases.json uses the default --master 1500): proves the
-# sweep generator + trie engine handle a 1000-case run end to end.
+# sweep generator + trie engine handle a 1000-case run end to end, and
+# records settle effort and per-leaf fixed work against the same cases
+# run one by one.
 cargo run -q -p scald-bench --release --bin case_tree -- --counts 10,1000 --master 100 --block 4 --out target/BENCH_cases_smoke.json
-
-# Smoke the scheduler/memoization bench with the scheduler forced on
-# (case_sched always runs the Tree strategy against the naive baseline):
-# a 1000-case sweep must finish and the per-leaf fixed work must drop.
-cargo run -q -p scald-bench --release --bin case_sched -- --counts 10,1000 --master 100 --block 4 --out target/BENCH_sched_smoke.json
 
 # The layered benchmark (its own package under perfbench/) compiles
 # against the crates above: build it and run its unit tests.

@@ -14,8 +14,8 @@
 //!   private block of `block_slices` slices.
 //!
 //! An exhaustive sweep over `[master, block 0, block 1, ...]` therefore
-//! re-settles the expensive master cone on *every* case under the naive
-//! independent-case engine, but only once per root branch under the
+//! re-settles the expensive master cone on *every* case when each case
+//! runs on its own, but only once per root branch under the
 //! case tree — the per-case settle effort collapses from
 //! `O(master + blocks)` to `O(block)`, which is what
 //! `BENCH_cases.json` records at 10/100/1000 cases.

@@ -112,7 +112,6 @@ mod tests {
                 prims: 0,
                 cases: 1,
                 jobs: 1,
-                case_strategy: scald_verifier::CaseStrategy::default(),
                 events: 0,
                 evaluations: 0,
                 verify_wall: None,

@@ -102,11 +102,11 @@ pub struct IncrStats {
     pub events: u64,
     /// Primitive evaluations this re-verification processed.
     pub evaluations: u64,
-    /// Shared-prefix settle effort, when the run scheduled its cases as
-    /// a tree (zero under the independent path).
+    /// Shared-prefix settle effort (zero when the cases share no prefix
+    /// and no delay corner).
     pub prefix: PrefixStats,
     /// Checker/storage memoization counters of the sweep scheduler
-    /// (zero under the independent path).
+    /// (no node passes and no hits when the cases share nothing).
     pub memo: MemoStats,
     /// Wall-clock time of the re-verification.
     pub wall: Duration,

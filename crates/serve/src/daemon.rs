@@ -697,8 +697,8 @@ fn open_summary(pooled: &PooledSession, info: &CheckoutInfo) -> RunSummary {
 
 fn outcome_summary(outcome: &SessionOutcome, cache: Option<CacheDelta>) -> RunSummary {
     // The sweep block is reported only when the pass actually amortized
-    // something across cases (the independent path leaves every counter
-    // at zero), so single-case clients never see it.
+    // something across cases (cases that share nothing leave the node
+    // and hit counters at zero), so single-case clients never see it.
     let (prefix, memo) = (outcome.stats.prefix, outcome.stats.memo);
     let sweep = (prefix.nodes > 0 || memo.leaf_check_hits > 0 || memo.leaf_storage_hits > 0)
         .then_some(SweepEffort {

@@ -168,9 +168,9 @@ impl fmt::Display for MultiCaseError {
 impl std::error::Error for MultiCaseError {}
 
 /// Options for one [`Verifier::run`]: the cases to analyse, an optional
-/// per-run worker override, the case-scheduling strategy, and whether
-/// to checkpoint the settled base. The default (`RunOptions::new()`)
-/// verifies the single no-override base case.
+/// per-run worker override, and whether to checkpoint the settled base.
+/// The default (`RunOptions::new()`) verifies the single no-override
+/// base case.
 ///
 /// # Examples
 ///
@@ -188,7 +188,6 @@ pub struct RunOptions {
     cases: CaseSet,
     jobs: Option<usize>,
     checkpoint: CheckpointPolicy,
-    strategy: CaseStrategy,
 }
 
 impl RunOptions {
@@ -213,14 +212,6 @@ impl RunOptions {
         self
     }
 
-    /// Sets the case-scheduling strategy; see [`CaseStrategy`]. Every
-    /// strategy produces byte-identical per-case results — this knob
-    /// only trades settle effort for scheduling overhead.
-    pub fn strategy(mut self, strategy: CaseStrategy) -> RunOptions {
-        self.strategy = strategy;
-        self
-    }
-
     /// Overrides the verifier's worker budget for this run only (clamped
     /// to at least 1). The budget covers case fan-out *and* intra-settle
     /// wave evaluation — see [`VerifierBuilder::jobs`]. Results are
@@ -237,69 +228,11 @@ impl RunOptions {
     }
 }
 
-/// How [`Verifier::run`] schedules a multi-case analysis. Every
-/// strategy yields byte-identical per-case violations, waveforms and
-/// value-record counts; only effort counters (events/evaluations per
-/// case, prefix totals) differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CaseStrategy {
-    /// Factor shared work through the case tree when the run's cases
-    /// actually share assignment prefixes or delay corners; fall back
-    /// to [`Independent`](Self::Independent) otherwise. The default.
-    #[default]
-    Auto,
-    /// Settle every case independently from the settled base — the
-    /// thesis' §2.7 scheme, and the baseline the case tree is
-    /// property-tested against.
-    Independent,
-    /// Always build the case tree: organize cases into a trie on
-    /// shared assignment prefixes, settle each internal node's overlay
-    /// once on its parent's state, and fan only the leaf suffixes
-    /// across the worker pool (DESIGN.md § "The case tree").
-    Tree,
-}
-
-impl CaseStrategy {
-    /// Stable token for reports and the `--case-strategy` CLI flag:
-    /// `auto`, `naive` (the independent path) or `tree`.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CaseStrategy::Auto => "auto",
-            CaseStrategy::Independent => "naive",
-            CaseStrategy::Tree => "tree",
-        }
-    }
-}
-
-impl fmt::Display for CaseStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for CaseStrategy {
-    type Err = String;
-
-    /// Parses a `--case-strategy` value; `independent` is accepted as a
-    /// spelled-out alias of `naive`.
-    fn from_str(s: &str) -> Result<CaseStrategy, String> {
-        match s {
-            "auto" => Ok(CaseStrategy::Auto),
-            "naive" | "independent" => Ok(CaseStrategy::Independent),
-            "tree" => Ok(CaseStrategy::Tree),
-            other => Err(format!(
-                "unknown case strategy '{other}' (expected auto, tree or naive)"
-            )),
-        }
-    }
-}
-
 /// Effort spent settling shared-prefix case-tree nodes in one
-/// [`Verifier::run`] (zero for independent scheduling). Node effort is
-/// paid once per prefix on behalf of all its leaves, so it is *not*
-/// folded into any per-case counters; it does count toward the engine
-/// totals and the `RunEnd` trace event.
+/// [`Verifier::run`] (zero when the cases share no prefix and no delay
+/// corner). Node effort is paid once per prefix on behalf of all its
+/// leaves, so it is *not* folded into any per-case counters; it does
+/// count toward the engine totals and the `RunEnd` trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrefixStats {
     /// Internal tree nodes settled (shared prefixes + corner roots).
@@ -313,9 +246,10 @@ pub struct PrefixStats {
 /// Checker/storage memoization counters of one [`Verifier::run`] — the
 /// per-leaf *fixed* cost the case tree amortizes. Checker units are
 /// checker primitives, `&A`/`&H` hazard pairs and signal assertions;
-/// storage units are per-signal value-record measurements. On the
-/// independent path every leaf evaluates every unit (all evals, zero
-/// hits), so these counters are directly comparable across strategies.
+/// storage units are per-signal value-record measurements. In a run
+/// with no tree node (and so in every one-case run) every leaf evaluates
+/// every unit (all evals, zero hits), so these counters compare a sweep
+/// directly against its cases run one by one.
 /// All fields are deterministic: they depend on the case set and the
 /// netlist, never on worker count or timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -676,10 +610,6 @@ pub struct Verifier {
     /// Per-primitive descriptor signature in the cache (`None` for
     /// checkers); indexed by `PrimId::index()`. Empty when uncached.
     prim_sigs: Arc<Vec<Option<u32>>>,
-    /// The [`CaseStrategy`] requested by the last [`run`](Self::run) —
-    /// echoed in [`EngineStats`] so reports record which scheduling
-    /// path produced them.
-    last_strategy: CaseStrategy,
 }
 
 impl fmt::Debug for Verifier {
@@ -782,7 +712,6 @@ impl Verifier {
             trace: None,
             eval_cache: None,
             prim_sigs: Arc::new(Vec::new()),
-            last_strategy: CaseStrategy::default(),
         }
     }
 
@@ -1063,24 +992,21 @@ impl Verifier {
             cases,
             options.jobs.unwrap_or(self.jobs),
             options.checkpoint == CheckpointPolicy::SettledBase,
-            options.strategy,
         )
     }
 
     /// The engine behind [`run`](Self::run): resolves case names, settles
     /// the base with the full worker budget, optionally checkpoints, then
-    /// fans the cases across the pool with the budget split between case
-    /// workers and per-case wave evaluation.
+    /// schedules the case tree across the pool with the budget split
+    /// between case workers and per-case wave evaluation.
     fn run_impl(
         &mut self,
         cases: &[Case],
         jobs: usize,
         checkpoint: bool,
-        strategy: CaseStrategy,
     ) -> Result<RunOutcome, VerifyError> {
         let run_started = Instant::now();
         let effort_before = (self.total_events, self.total_evaluations);
-        self.last_strategy = strategy;
         // Split the worker budget: W case workers each evaluating waves
         // J/W wide never oversubscribe a J-job budget.
         let jobs = jobs.max(1);
@@ -1111,19 +1037,12 @@ impl Verifier {
             resolved.push(assigns);
         }
         let corners: Vec<DelayCorner> = cases.iter().map(Case::delay_corner).collect();
-        // Factor shared work through the case tree when asked to — or,
-        // under `Auto`, when the trie actually found sharing (a prefix
-        // node or a corner root). The `Auto` fallback keeps runs whose
-        // cases share nothing on the independent path, effort counters
-        // and all.
-        let tree = match strategy {
-            CaseStrategy::Independent => None,
-            CaseStrategy::Tree => Some(CaseTree::build(&resolved, &corners)),
-            CaseStrategy::Auto => {
-                let t = CaseTree::build(&resolved, &corners);
-                (!t.nodes.is_empty()).then_some(t)
-            }
-        };
+        // Factor shared work through the case tree. A tree with no node
+        // (cases share no prefix and no corner) settles every case from
+        // the base with a full checker pass: inheriting from a base pass
+        // would pay that pass on top of re-checking every unit that fired.
+        let tree = CaseTree::build(&resolved, &corners);
+        let memo_from_base = !tree.nodes.is_empty();
 
         // Establish (or return to) the settled base: no overrides, at
         // the worst-case corner. The base settle gets the whole budget —
@@ -1132,10 +1051,10 @@ impl Verifier {
         let (base_events, base_evaluations) = self.settle(jobs)?;
         let checkpoint = checkpoint.then(|| Box::new(self.clone()));
 
-        // Fan the cases across the pool. Each worker repeatedly claims
-        // the next unclaimed unit of work (a case, or a case-tree leaf)
-        // and settles it against shared immutable state; per-case effort
-        // is summed into the totals with atomics as workers finish.
+        // Fan the tree across the pool. Each worker repeatedly claims
+        // the next ready unit of work (a tree node or a leaf case) and
+        // settles it against shared immutable state; per-case effort is
+        // summed into the totals with atomics as workers finish.
         let netlist = &self.netlist;
         let base_raw: &SoaState = &self.raw;
         let base_eff: &SoaState = &self.eff;
@@ -1185,17 +1104,213 @@ impl Verifier {
                     }
                 }
             };
-        let mut outcomes: Vec<Option<Result<CaseOutcome, VerifyError>>> = match &tree {
-            None => {
-                let work = |i: usize| {
-                    if let Some(t) = trace {
-                        t.record(&TraceEvent::CaseStart {
-                            case: i as u32,
-                            label: &labels[i],
-                        });
-                    }
-                    let case_started = Instant::now();
-                    let outcome = settle_case(
+        // Dependency-aware scheduling: every node and leaf is a
+        // work unit released the moment its parent node settles,
+        // so prefix settles overlap leaf suffixes under one jobs
+        // budget instead of running in a serial phase. Results
+        // are byte-identical for every worker count because each
+        // unit is a pure function of its parent's settled state
+        // (DESIGN.md § "Dependency-release scheduling").
+        let mut node_children: Vec<Vec<Unit>> = vec![Vec::new(); tree.nodes.len()];
+        let mut ready: Vec<Unit> = Vec::new();
+        for (ni, node) in tree.nodes.iter().enumerate() {
+            match node.parent {
+                Some(p) => node_children[p].push(Unit::Node(ni)),
+                None => ready.push(Unit::Node(ni)),
+            }
+        }
+        let mut root_leaves: Vec<usize> = Vec::new();
+        for (li, leaf) in tree.leaves.iter().enumerate() {
+            match leaf.node {
+                Some(n) => node_children[n].push(Unit::Leaf(li)),
+                None => root_leaves.push(li),
+            }
+        }
+        // Leaves on the base start in input-case order, not trie
+        // order, so a run whose cases share nothing claims (and
+        // traces) its cases first to last.
+        root_leaves.sort_by_key(|&li| tree.leaves[li].case);
+        ready.extend(root_leaves.into_iter().map(Unit::Leaf));
+        // Settled node states, handed from the worker that
+        // settles a node to the workers running its children
+        // (`OnceLock::set`/`get` order the hand-off).
+        let node_states: Vec<OnceLock<NodeState<'_>>> =
+            (0..tree.nodes.len()).map(|_| OnceLock::new()).collect();
+        // The base checker pass and storage total, computed
+        // lazily by whichever worker first reaches a unit that
+        // roots directly on the settled base.
+        let base_check: OnceLock<CheckCache> = OnceLock::new();
+        let base_records: OnceLock<usize> = OnceLock::new();
+        let base_check_pass = || -> &CheckCache {
+            base_check.get_or_init(|| {
+                let hazard_list: Vec<(PrimId, usize)> = base_hazards.iter().copied().collect();
+                let pass =
+                    run_checks_cached(netlist, base_eff, &hazard_list, DelayCorner::Worst, None);
+                memo_node_passes.fetch_add(1, Ordering::Relaxed);
+                memo_node_evals.fetch_add(pass.evaluated, Ordering::Relaxed);
+                pass.cache
+            })
+        };
+        let base_total_records = || -> usize {
+            *base_records.get_or_init(|| StorageReport::measure(netlist, base_raw).value_records)
+        };
+        // Settles one internal node on its parent's state, then
+        // runs the node's own checker/storage pass (a delta off
+        // the parent's cached pass) so every descendant inherits
+        // from it. A node error skips the pass and fails the
+        // whole subtree — children still run, propagate the
+        // error to their leaves immediately, and the scheduler
+        // drains without deadlocking.
+        let node_work = |ni: usize| {
+            let node = &tree.nodes[ni];
+            let parent = node
+                .parent
+                .map(|p| node_states[p].get().expect("parent settled before release"));
+            let (mut st, parent_error) = match parent {
+                None => (
+                    NodeState {
+                        raw: ConeState::new(base_raw),
+                        eff: ConeState::new(base_eff),
+                        hazards: base_hazards.clone(),
+                        wired: base_wired.clone(),
+                        overrides: BTreeMap::new(),
+                        error: None,
+                        cache: None,
+                        value_records: 0,
+                    },
+                    None,
+                ),
+                Some(ps) => (
+                    NodeState {
+                        raw: ps.raw.fork(),
+                        eff: ps.eff.fork(),
+                        hazards: ps.hazards.clone(),
+                        wired: ps.wired.clone(),
+                        overrides: ps.overrides.clone(),
+                        error: None,
+                        cache: None,
+                        value_records: 0,
+                    },
+                    ps.error.clone(),
+                ),
+            };
+            for &(sid, v) in &node.chunk {
+                st.overrides.insert(sid, v);
+            }
+            let mut events = 0u64;
+            let mut evaluations = 0u64;
+            st.error = match parent_error {
+                Some(e) => Some(e),
+                None => settle_overlay(
+                    netlist,
+                    pinned,
+                    &mut st.raw,
+                    &mut st.eff,
+                    &mut st.hazards,
+                    &mut st.wired,
+                    &node.chunk,
+                    &st.overrides,
+                    node.corner,
+                    node.reseed_all,
+                    budget,
+                    wave_jobs,
+                    cache,
+                    trace.map(|t| (t, None)),
+                    &mut events,
+                    &mut evaluations,
+                )
+                .err(),
+            };
+            if st.error.is_none() {
+                // The node's checker pass. Violations are
+                // discarded (a node is not a case); the
+                // empty-verdict summary seeds every descendant's
+                // delta pass. A corner root re-times every wave,
+                // so nothing from the Worst-corner base pass is
+                // inheritable there.
+                let hazard_list: Vec<(PrimId, usize)> = st.hazards.iter().copied().collect();
+                let pass = if node.reseed_all {
+                    run_checks_cached(netlist, &st.eff, &hazard_list, node.corner, None)
+                } else {
+                    let (cache, hazards, eff_parent): (
+                        &CheckCache,
+                        &BTreeSet<(PrimId, usize)>,
+                        &dyn StateView,
+                    ) = match parent {
+                        Some(ps) => (
+                            ps.cache.as_ref().expect("settled parent has a cache"),
+                            &ps.hazards,
+                            &ps.eff,
+                        ),
+                        None => (base_check_pass(), base_hazards, base_eff),
+                    };
+                    let dirty = st.eff.dirty_vs(eff_parent);
+                    run_checks_cached(
+                        netlist,
+                        &st.eff,
+                        &hazard_list,
+                        node.corner,
+                        Some(&CheckMemo {
+                            cache,
+                            hazards,
+                            dirty: &dirty,
+                        }),
+                    )
+                };
+                memo_node_passes.fetch_add(1, Ordering::Relaxed);
+                memo_node_evals.fetch_add(pass.evaluated, Ordering::Relaxed);
+                memo_node_hits.fetch_add(pass.inherited, Ordering::Relaxed);
+                st.cache = Some(pass.cache);
+                // Storage is corner-independent, so the records
+                // chain runs through corner roots too.
+                let (raw_parent, parent_records): (&dyn StateView, usize) = match parent {
+                    Some(ps) => (&ps.raw, ps.value_records),
+                    None => (base_raw, base_total_records()),
+                };
+                st.value_records = st.raw.value_records_vs(raw_parent, parent_records).0;
+            }
+            prefix_nodes.fetch_add(1, Ordering::Relaxed);
+            prefix_events.fetch_add(events, Ordering::Relaxed);
+            prefix_evaluations.fetch_add(evaluations, Ordering::Relaxed);
+            if let Some(t) = trace {
+                let label = node_label(netlist, node.corner, &st.overrides);
+                t.record(&TraceEvent::PrefixSettled {
+                    node: ni as u32,
+                    label: &label,
+                    cases: node.leaf_count,
+                    events,
+                    evaluations,
+                });
+            }
+            st
+        };
+        // Each leaf forks its node's settled overlay, settles
+        // only its unshared suffix, and inherits the node's
+        // cached checker verdicts outside its dirty cone.
+        let leaf_work = |li: usize| -> (usize, Result<CaseOutcome, VerifyError>) {
+            let leaf = &tree.leaves[li];
+            let i = leaf.case;
+            if let Some(t) = trace {
+                t.record(&TraceEvent::CaseStart {
+                    case: i as u32,
+                    label: &labels[i],
+                });
+            }
+            let case_started = Instant::now();
+            let outcome = match leaf.node {
+                None => {
+                    // Node-less leaves exist only in the Worst-corner
+                    // group (every other corner gets a root node),
+                    // which makes the base pass their valid parent.
+                    debug_assert_eq!(corners[i], DelayCorner::Worst);
+                    let memo = memo_from_base.then(|| LeafMemo {
+                        cache: base_check_pass(),
+                        hazards: base_hazards,
+                        raw_parent: base_raw,
+                        eff_parent: base_eff,
+                        value_records: base_total_records(),
+                    });
+                    settle_case(
                         netlist,
                         base_raw,
                         base_eff,
@@ -1203,390 +1318,130 @@ impl Verifier {
                         base_hazards,
                         base_wired,
                         &resolved[i],
-                        corners[i],
                         budget,
                         wave_jobs,
                         cache,
                         trace.map(|t| (t, i as u32)),
-                        None,
-                    );
-                    record_case_end(i, case_started, &outcome);
-                    outcome
-                };
-                if case_workers == 1 {
-                    (0..cases.len()).map(|i| Some(work(i))).collect()
-                } else {
-                    let slots: Vec<Mutex<Option<Result<CaseOutcome, VerifyError>>>> =
-                        (0..cases.len()).map(|_| Mutex::new(None)).collect();
-                    let next = AtomicUsize::new(0);
-                    std::thread::scope(|s| {
-                        for _ in 0..case_workers {
-                            s.spawn(|| loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= cases.len() {
-                                    break;
-                                }
-                                let outcome = work(i);
-                                *slots[i].lock().expect("case slot poisoned") = Some(outcome);
-                            });
+                        memo.as_ref(),
+                    )
+                }
+                Some(n) => settle_leaf(
+                    netlist,
+                    pinned,
+                    node_states[n].get().expect("node settled before release"),
+                    &resolved[i],
+                    leaf.suffix_start,
+                    corners[i],
+                    budget,
+                    wave_jobs,
+                    cache,
+                    trace.map(|t| (t, i as u32)),
+                ),
+            };
+            record_case_end(i, case_started, &outcome);
+            (i, outcome)
+        };
+        // Releases a completed node's children into the ready
+        // set (the caller publishes the state first, since the
+        // `OnceLock` element type pins the state's lifetime).
+        let release_children = |ni: usize, push: &mut dyn FnMut(Unit)| {
+            let children = &node_children[ni];
+            memo_releases.fetch_add(children.len() as u64, Ordering::Relaxed);
+            if let Some(t) = trace {
+                t.record(&TraceEvent::SubtreeReleased {
+                    node: ni as u32,
+                    children: children.len(),
+                });
+            }
+            for &u in children {
+                push(u);
+            }
+        };
+        let mut outcomes: Vec<Option<Result<CaseOutcome, VerifyError>>> = if case_workers == 1 {
+            // Single worker: drain the ready queue in release
+            // order on this thread (roots first, children as
+            // their parents complete).
+            let mut out: Vec<Option<Result<CaseOutcome, VerifyError>>> =
+                (0..cases.len()).map(|_| None).collect();
+            let mut queue: VecDeque<Unit> = ready.into();
+            while let Some(unit) = queue.pop_front() {
+                match unit {
+                    Unit::Node(ni) => {
+                        let st = node_work(ni);
+                        if node_states[ni].set(st).is_err() {
+                            unreachable!("each node is settled exactly once");
                         }
-                    });
-                    slots
-                        .into_iter()
-                        .map(|m| m.into_inner().expect("case slot poisoned"))
-                        .collect()
+                        release_children(ni, &mut |u| queue.push_back(u));
+                    }
+                    Unit::Leaf(li) => {
+                        let (i, outcome) = leaf_work(li);
+                        out[i] = Some(outcome);
+                    }
                 }
             }
-            Some(tree) => {
-                // Dependency-aware scheduling: every node and leaf is a
-                // work unit released the moment its parent node settles,
-                // so prefix settles overlap leaf suffixes under one jobs
-                // budget instead of running in a serial phase. Results
-                // are byte-identical for every worker count because each
-                // unit is a pure function of its parent's settled state
-                // (DESIGN.md § "Dependency-release scheduling").
-                let mut node_children: Vec<Vec<Unit>> = vec![Vec::new(); tree.nodes.len()];
-                let mut ready: Vec<Unit> = Vec::new();
-                for (ni, node) in tree.nodes.iter().enumerate() {
-                    match node.parent {
-                        Some(p) => node_children[p].push(Unit::Node(ni)),
-                        None => ready.push(Unit::Node(ni)),
-                    }
-                }
-                for (li, leaf) in tree.leaves.iter().enumerate() {
-                    match leaf.node {
-                        Some(n) => node_children[n].push(Unit::Leaf(li)),
-                        None => ready.push(Unit::Leaf(li)),
-                    }
-                }
-                // Settled node states, handed from the worker that
-                // settles a node to the workers running its children
-                // (`OnceLock::set`/`get` order the hand-off).
-                let node_states: Vec<OnceLock<NodeState<'_>>> =
-                    (0..tree.nodes.len()).map(|_| OnceLock::new()).collect();
-                // The base checker pass and storage total, computed
-                // lazily by whichever worker first reaches a unit that
-                // roots directly on the settled base.
-                let base_check: OnceLock<CheckCache> = OnceLock::new();
-                let base_records: OnceLock<usize> = OnceLock::new();
-                let base_check_pass = || -> &CheckCache {
-                    base_check.get_or_init(|| {
-                        let hazard_list: Vec<(PrimId, usize)> =
-                            base_hazards.iter().copied().collect();
-                        let pass = run_checks_cached(
-                            netlist,
-                            base_eff,
-                            &hazard_list,
-                            DelayCorner::Worst,
-                            None,
-                        );
-                        memo_node_passes.fetch_add(1, Ordering::Relaxed);
-                        memo_node_evals.fetch_add(pass.evaluated, Ordering::Relaxed);
-                        pass.cache
-                    })
-                };
-                let base_total_records = || -> usize {
-                    *base_records
-                        .get_or_init(|| StorageReport::measure(netlist, base_raw).value_records)
-                };
-                // Settles one internal node on its parent's state, then
-                // runs the node's own checker/storage pass (a delta off
-                // the parent's cached pass) so every descendant inherits
-                // from it. A node error skips the pass and fails the
-                // whole subtree — children still run, propagate the
-                // error to their leaves immediately, and the scheduler
-                // drains without deadlocking.
-                let node_work = |ni: usize| {
-                    let node = &tree.nodes[ni];
-                    let parent = node
-                        .parent
-                        .map(|p| node_states[p].get().expect("parent settled before release"));
-                    let (mut st, parent_error) = match parent {
-                        None => (
-                            NodeState {
-                                raw: ConeState::new(base_raw),
-                                eff: ConeState::new(base_eff),
-                                hazards: base_hazards.clone(),
-                                wired: base_wired.clone(),
-                                overrides: BTreeMap::new(),
-                                error: None,
-                                cache: None,
-                                value_records: 0,
-                            },
-                            None,
-                        ),
-                        Some(ps) => (
-                            NodeState {
-                                raw: ps.raw.fork(),
-                                eff: ps.eff.fork(),
-                                hazards: ps.hazards.clone(),
-                                wired: ps.wired.clone(),
-                                overrides: ps.overrides.clone(),
-                                error: None,
-                                cache: None,
-                                value_records: 0,
-                            },
-                            ps.error.clone(),
-                        ),
-                    };
-                    for &(sid, v) in &node.chunk {
-                        st.overrides.insert(sid, v);
-                    }
-                    let mut events = 0u64;
-                    let mut evaluations = 0u64;
-                    st.error = match parent_error {
-                        Some(e) => Some(e),
-                        None => settle_overlay(
-                            netlist,
-                            pinned,
-                            &mut st.raw,
-                            &mut st.eff,
-                            &mut st.hazards,
-                            &mut st.wired,
-                            &node.chunk,
-                            &st.overrides,
-                            node.corner,
-                            node.reseed_all,
-                            budget,
-                            wave_jobs,
-                            cache,
-                            trace.map(|t| (t, None)),
-                            &mut events,
-                            &mut evaluations,
-                        )
-                        .err(),
-                    };
-                    if st.error.is_none() {
-                        // The node's checker pass. Violations are
-                        // discarded (a node is not a case); the
-                        // empty-verdict summary seeds every descendant's
-                        // delta pass. A corner root re-times every wave,
-                        // so nothing from the Worst-corner base pass is
-                        // inheritable there.
-                        let hazard_list: Vec<(PrimId, usize)> =
-                            st.hazards.iter().copied().collect();
-                        let pass = if node.reseed_all {
-                            run_checks_cached(netlist, &st.eff, &hazard_list, node.corner, None)
-                        } else {
-                            let (cache, hazards, eff_parent): (
-                                &CheckCache,
-                                &BTreeSet<(PrimId, usize)>,
-                                &dyn StateView,
-                            ) = match parent {
-                                Some(ps) => (
-                                    ps.cache.as_ref().expect("settled parent has a cache"),
-                                    &ps.hazards,
-                                    &ps.eff,
-                                ),
-                                None => (base_check_pass(), base_hazards, base_eff),
-                            };
-                            let dirty = st.eff.dirty_vs(eff_parent);
-                            run_checks_cached(
-                                netlist,
-                                &st.eff,
-                                &hazard_list,
-                                node.corner,
-                                Some(&CheckMemo {
-                                    cache,
-                                    hazards,
-                                    dirty: &dirty,
-                                }),
-                            )
+            out
+        } else {
+            // Worker pool over one shared ready queue. Workers
+            // exit when every leaf has completed: each leaf is
+            // reachable from the ready set through its ancestor
+            // chain, every node completes (errors included) and
+            // releases its children, so the count always drains
+            // — a failing prefix cannot deadlock the pool.
+            let slots: Vec<Mutex<Option<Result<CaseOutcome, VerifyError>>>> =
+                (0..cases.len()).map(|_| Mutex::new(None)).collect();
+            let sched: Mutex<(VecDeque<Unit>, usize)> =
+                Mutex::new((ready.into(), tree.leaves.len()));
+            let ready_cv = Condvar::new();
+            std::thread::scope(|s| {
+                for _ in 0..case_workers {
+                    s.spawn(|| loop {
+                        let unit = {
+                            let mut guard = sched.lock().expect("scheduler lock poisoned");
+                            loop {
+                                if guard.1 == 0 {
+                                    break None;
+                                }
+                                if let Some(u) = guard.0.pop_front() {
+                                    break Some(u);
+                                }
+                                guard = ready_cv.wait(guard).expect("scheduler lock poisoned");
+                            }
                         };
-                        memo_node_passes.fetch_add(1, Ordering::Relaxed);
-                        memo_node_evals.fetch_add(pass.evaluated, Ordering::Relaxed);
-                        memo_node_hits.fetch_add(pass.inherited, Ordering::Relaxed);
-                        st.cache = Some(pass.cache);
-                        // Storage is corner-independent, so the records
-                        // chain runs through corner roots too.
-                        let (raw_parent, parent_records): (&dyn StateView, usize) = match parent {
-                            Some(ps) => (&ps.raw, ps.value_records),
-                            None => (base_raw, base_total_records()),
-                        };
-                        st.value_records = st.raw.value_records_vs(raw_parent, parent_records).0;
-                    }
-                    prefix_nodes.fetch_add(1, Ordering::Relaxed);
-                    prefix_events.fetch_add(events, Ordering::Relaxed);
-                    prefix_evaluations.fetch_add(evaluations, Ordering::Relaxed);
-                    if let Some(t) = trace {
-                        let label = node_label(netlist, node.corner, &st.overrides);
-                        t.record(&TraceEvent::PrefixSettled {
-                            node: ni as u32,
-                            label: &label,
-                            cases: node.leaf_count,
-                            events,
-                            evaluations,
-                        });
-                    }
-                    st
-                };
-                // Each leaf forks its node's settled overlay, settles
-                // only its unshared suffix, and inherits the node's
-                // cached checker verdicts outside its dirty cone.
-                let leaf_work = |li: usize| -> (usize, Result<CaseOutcome, VerifyError>) {
-                    let leaf = &tree.leaves[li];
-                    let i = leaf.case;
-                    if let Some(t) = trace {
-                        t.record(&TraceEvent::CaseStart {
-                            case: i as u32,
-                            label: &labels[i],
-                        });
-                    }
-                    let case_started = Instant::now();
-                    let outcome = match leaf.node {
-                        None => {
-                            // Node-less leaves exist only in the
-                            // Worst-corner group (every other corner
-                            // gets a root node), which makes the base
-                            // pass their valid parent; the corner guard
-                            // is belt-and-braces, since inheriting
-                            // across corners would be unsound.
-                            let memo = (corners[i] == DelayCorner::Worst).then(|| LeafMemo {
-                                cache: base_check_pass(),
-                                hazards: base_hazards,
-                                raw_parent: base_raw,
-                                eff_parent: base_eff,
-                                value_records: base_total_records(),
-                            });
-                            settle_case(
-                                netlist,
-                                base_raw,
-                                base_eff,
-                                pinned,
-                                base_hazards,
-                                base_wired,
-                                &resolved[i],
-                                corners[i],
-                                budget,
-                                wave_jobs,
-                                cache,
-                                trace.map(|t| (t, i as u32)),
-                                memo.as_ref(),
-                            )
-                        }
-                        Some(n) => settle_leaf(
-                            netlist,
-                            pinned,
-                            node_states[n].get().expect("node settled before release"),
-                            &resolved[i],
-                            leaf.suffix_start,
-                            corners[i],
-                            budget,
-                            wave_jobs,
-                            cache,
-                            trace.map(|t| (t, i as u32)),
-                        ),
-                    };
-                    record_case_end(i, case_started, &outcome);
-                    (i, outcome)
-                };
-                // Releases a completed node's children into the ready
-                // set (the caller publishes the state first, since the
-                // `OnceLock` element type pins the state's lifetime).
-                let release_children = |ni: usize, push: &mut dyn FnMut(Unit)| {
-                    let children = &node_children[ni];
-                    memo_releases.fetch_add(children.len() as u64, Ordering::Relaxed);
-                    if let Some(t) = trace {
-                        t.record(&TraceEvent::SubtreeReleased {
-                            node: ni as u32,
-                            children: children.len(),
-                        });
-                    }
-                    for &u in children {
-                        push(u);
-                    }
-                };
-                if case_workers == 1 {
-                    // Single worker: drain the ready queue in release
-                    // order on this thread (roots first, children as
-                    // their parents complete).
-                    let mut out: Vec<Option<Result<CaseOutcome, VerifyError>>> =
-                        (0..cases.len()).map(|_| None).collect();
-                    let mut queue: VecDeque<Unit> = ready.into();
-                    while let Some(unit) = queue.pop_front() {
+                        let Some(unit) = unit else { break };
                         match unit {
                             Unit::Node(ni) => {
                                 let st = node_work(ni);
                                 if node_states[ni].set(st).is_err() {
                                     unreachable!("each node is settled exactly once");
                                 }
-                                release_children(ni, &mut |u| queue.push_back(u));
+                                let mut released = Vec::new();
+                                release_children(ni, &mut |u| released.push(u));
+                                if !released.is_empty() {
+                                    let mut guard = sched.lock().expect("scheduler lock poisoned");
+                                    guard.0.extend(released);
+                                    drop(guard);
+                                    ready_cv.notify_all();
+                                }
                             }
                             Unit::Leaf(li) => {
                                 let (i, outcome) = leaf_work(li);
-                                out[i] = Some(outcome);
+                                *slots[i].lock().expect("case slot poisoned") = Some(outcome);
+                                let mut guard = sched.lock().expect("scheduler lock poisoned");
+                                guard.1 -= 1;
+                                let all_done = guard.1 == 0;
+                                drop(guard);
+                                if all_done {
+                                    ready_cv.notify_all();
+                                }
                             }
                         }
-                    }
-                    out
-                } else {
-                    // Worker pool over one shared ready queue. Workers
-                    // exit when every leaf has completed: each leaf is
-                    // reachable from the ready set through its ancestor
-                    // chain, every node completes (errors included) and
-                    // releases its children, so the count always drains
-                    // — a failing prefix cannot deadlock the pool.
-                    let slots: Vec<Mutex<Option<Result<CaseOutcome, VerifyError>>>> =
-                        (0..cases.len()).map(|_| Mutex::new(None)).collect();
-                    let sched: Mutex<(VecDeque<Unit>, usize)> =
-                        Mutex::new((ready.into(), tree.leaves.len()));
-                    let ready_cv = Condvar::new();
-                    std::thread::scope(|s| {
-                        for _ in 0..case_workers {
-                            s.spawn(|| loop {
-                                let unit = {
-                                    let mut guard = sched.lock().expect("scheduler lock poisoned");
-                                    loop {
-                                        if guard.1 == 0 {
-                                            break None;
-                                        }
-                                        if let Some(u) = guard.0.pop_front() {
-                                            break Some(u);
-                                        }
-                                        guard =
-                                            ready_cv.wait(guard).expect("scheduler lock poisoned");
-                                    }
-                                };
-                                let Some(unit) = unit else { break };
-                                match unit {
-                                    Unit::Node(ni) => {
-                                        let st = node_work(ni);
-                                        if node_states[ni].set(st).is_err() {
-                                            unreachable!("each node is settled exactly once");
-                                        }
-                                        let mut released = Vec::new();
-                                        release_children(ni, &mut |u| released.push(u));
-                                        if !released.is_empty() {
-                                            let mut guard =
-                                                sched.lock().expect("scheduler lock poisoned");
-                                            guard.0.extend(released);
-                                            drop(guard);
-                                            ready_cv.notify_all();
-                                        }
-                                    }
-                                    Unit::Leaf(li) => {
-                                        let (i, outcome) = leaf_work(li);
-                                        *slots[i].lock().expect("case slot poisoned") =
-                                            Some(outcome);
-                                        let mut guard =
-                                            sched.lock().expect("scheduler lock poisoned");
-                                        guard.1 -= 1;
-                                        let all_done = guard.1 == 0;
-                                        drop(guard);
-                                        if all_done {
-                                            ready_cv.notify_all();
-                                        }
-                                    }
-                                }
-                            });
-                        }
                     });
-                    slots
-                        .into_iter()
-                        .map(|m| m.into_inner().expect("case slot poisoned"))
-                        .collect()
                 }
-            }
+            });
+            slots
+                .into_iter()
+                .map(|m| m.into_inner().expect("case slot poisoned"))
+                .collect()
         };
         let prefix = PrefixStats {
             nodes: prefix_nodes.into_inner(),
@@ -1760,7 +1615,6 @@ impl Verifier {
                 prims: self.netlist.prims().len(),
                 cases: results.len(),
                 jobs: self.jobs,
-                case_strategy: self.last_strategy,
                 events: self.total_events,
                 evaluations: self.total_evaluations,
                 verify_wall: None,
@@ -2538,16 +2392,14 @@ fn case_outcome(
     }
 }
 
-/// Settles one case against the shared settled base state (§2.7, §3.3.2).
-///
-/// This is the per-case unit of work for both the serial path and the
-/// worker pool: it reads the base immutably, re-evaluates only the cone
-/// the case's overrides dirty (on a [`ConeState`] copy-on-write overlay)
-/// — or, at a non-worst delay corner, the whole design — and runs all
-/// checks against the overlaid state. Because every input is the same
-/// settled base and the worklist seeding order is fixed, the outcome is
-/// a pure function of `(base, assigns, corner)` — which is what makes
-/// parallel case analysis byte-identical to serial. (An attached trace
+/// Settles one worst-corner case against the shared settled base state
+/// (§2.7, §3.3.2): the unit of work of a case-tree leaf with no prefix
+/// node. It reads the base immutably, re-evaluates only the cone the
+/// case's overrides dirty (on a [`ConeState`] copy-on-write overlay)
+/// and runs all checks against the overlaid state. Because every input
+/// is the same settled base and the worklist seeding order is fixed,
+/// the outcome is a pure function of `(base, assigns)` — which is what
+/// makes parallel case analysis byte-identical to serial. (An attached trace
 /// sink observes the work but cannot influence it; `wave_jobs` changes
 /// only who computes each wave entry, never any result.)
 #[allow(clippy::too_many_arguments)]
@@ -2559,7 +2411,6 @@ fn settle_case(
     base_hazards: &BTreeSet<(PrimId, usize)>,
     base_wired: &BTreeMap<(SignalId, PrimId), SignalState>,
     assigns: &[(SignalId, Value)],
-    corner: DelayCorner,
     budget: u64,
     wave_jobs: usize,
     cache: Option<(&EvalCache, &[Option<u32>])>,
@@ -2582,8 +2433,8 @@ fn settle_case(
         &mut wired,
         assigns,
         &overrides,
-        corner,
-        corner != DelayCorner::Worst,
+        DelayCorner::Worst,
+        false,
         budget,
         wave_jobs,
         cache,
@@ -2593,7 +2444,7 @@ fn settle_case(
     )?;
     Ok(case_outcome(
         netlist,
-        corner,
+        DelayCorner::Worst,
         raw,
         eff,
         hazards,

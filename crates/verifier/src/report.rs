@@ -18,7 +18,7 @@
 //!   "engine": {
 //!     "signals": 61, "prims": 50,       // design size
 //!     "cases": 1, "jobs": 4,            // case-analysis shape
-//!     "case_strategy": "auto",          // resolved scheduling path
+//!     "case_strategy": "auto",          // constant; kept for v2 consumers
 //!     "events": 123, "evaluations": 456,// cumulative effort (§3.3.2)
 //!     "wall_ns": 183042,                // null when not measured
 //!     "period_ns": 50
@@ -74,6 +74,10 @@
 //! when no distribution analysis ran, so version-1 consumers keep
 //! working unchanged.
 //!
+//! `engine.case_strategy` is the constant `"auto"`. It once named the
+//! case-scheduling path a run took; the engine now has one path (the
+//! case tree), and the key stays so schema-v2 consumers keep parsing.
+//!
 //! The probabilistic section reports each checked endpoint's arrival
 //! time and slack as normal distributions (mean + sigma, nanoseconds)
 //! instead of single worst-case numbers, plus the probability the
@@ -90,7 +94,6 @@ use std::time::Duration;
 
 use crate::cache::EvalCacheStats;
 use crate::checkers::CheckMargin;
-use crate::engine::CaseStrategy;
 use crate::storage::StorageReport;
 
 /// The JSON document identifier emitted in the `"schema"` field.
@@ -506,9 +509,6 @@ pub struct EngineStats {
     pub cases: usize,
     /// Worker-pool size used for case analysis.
     pub jobs: usize,
-    /// Case-analysis strategy the run resolved to, echoed so benches
-    /// and CI can confirm which scheduling path executed.
-    pub case_strategy: CaseStrategy,
     /// Cumulative signal-change events (§3.3.2).
     pub events: u64,
     /// Cumulative primitive evaluations.
@@ -525,7 +525,6 @@ impl EngineStats {
     fn without_effort(self) -> EngineStats {
         EngineStats {
             jobs: 0,
-            case_strategy: CaseStrategy::default(),
             events: 0,
             evaluations: 0,
             verify_wall: None,
@@ -694,12 +693,9 @@ impl Report {
             ("prims".into(), Json::from(stats.prims as u64)),
             ("cases".into(), Json::from(stats.cases as u64)),
             ("jobs".into(), Json::from(stats.jobs as u64)),
-            // Schema v1 additive extension: which case-scheduling path
-            // the run resolved to ("auto" until the engine has run).
-            (
-                "case_strategy".into(),
-                Json::Str(stats.case_strategy.as_str().into()),
-            ),
+            // Schema v1 additive extension, now a constant: the engine
+            // has one case path, and v2 consumers still read the key.
+            ("case_strategy".into(), Json::str("auto")),
             ("events".into(), Json::from(stats.events)),
             ("evaluations".into(), Json::from(stats.evaluations)),
             (
