@@ -9,6 +9,8 @@
 //!   thesis quotes.
 //! * [`hdl_sources`] — the same component library as SCALD HDL text
 //!   (Figs 3-5..3-9), exercising the macro expander.
+//! * [`corpus`] — hand-built netlists that make every checker fire,
+//!   shared by the violation goldens and the checker-pass oracle.
 //! * [`ablation`] — the bit-blast transform that undoes the vector-width
 //!   symmetry, so the §3.3.2 saving can be measured.
 //! * [`rtl_pairs`] — seeded *twin* designs rendered both as
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod corpus;
 pub mod figures;
 pub mod hdl_sources;
 pub mod rtl_pairs;
