@@ -24,6 +24,14 @@ cargo test -q --test cli
 # interning store must stay bounded.
 cargo test -q -p scald-verifier --test parallel_settle --test parallel_cases --test eval_cache --test store_growth
 
+# The checker verdict table alone: the oracle that holds the table-backed
+# checker pass (full and memoized) and slack view to the per-unit
+# reference on the violation corpus and 50 seeded designs at three
+# corners, and the table-hit counter (units minus distinct situations,
+# identical at 1/2/8 workers).
+cargo test -q -p scald-verifier --lib checkers::tests::
+cargo test -q -p scald-verifier --test case_tree check_table_hits
+
 # The case-tree suite alone: 50-seed property that tree-factored sweeps
 # at 1/2/8 workers produce stripped reports byte-identical to running
 # each case as its own one-case run, plus the shared-prefix error paths

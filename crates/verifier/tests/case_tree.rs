@@ -103,6 +103,7 @@ fn one_case_runs(v: &mut Verifier, set: &CaseSet, jobs: usize) -> Result<OneCase
         m.leaf_check_hits += o.leaf_check_hits;
         m.leaf_storage_evals += o.leaf_storage_evals;
         m.leaf_storage_hits += o.leaf_storage_hits;
+        m.check_table_hits += o.check_table_hits;
         let mut result = outcome.into_sole();
         result.name = format!("case {}: {}", i + 1, case.label());
         runs.cases.push(result);
@@ -156,6 +157,34 @@ fn sweeps_match_one_case_runs_over_50_seeds() {
             );
         }
     }
+}
+
+/// The checker verdict-table counter is a deterministic total: over the
+/// 50 seeded sweeps (warm verifiers, as above) it is identical at 1, 2
+/// and 8 workers, because each table belongs to one pass. The design is
+/// larger than the suite's 16 chips, whose three checkers share no
+/// situation.
+#[test]
+fn check_table_hits_match_for_any_worker_count() {
+    let mut tree: Vec<Verifier> = (0..3).map(|_| fresh_verifier(60)).collect();
+    let mut total = 0;
+    for seed in 0..50u64 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let sweep = random_sweep(&mut rng);
+        let hits: Vec<u64> = tree
+            .iter_mut()
+            .zip([1usize, 2, 8])
+            .map(|(v, jobs)| {
+                v.run(&RunOptions::new().cases(sweep.clone()).jobs(jobs))
+                    .unwrap()
+                    .memo
+                    .check_table_hits
+            })
+            .collect();
+        assert_eq!(hits, vec![hits[0]; 3], "seed {seed}: hits at jobs 1, 2, 8");
+        total += hits[0];
+    }
+    assert!(total > 0, "the sweeps' checkers share situations");
 }
 
 /// Delay-corner sweeps are first-class case axes: a `cross_corners`
