@@ -372,10 +372,11 @@ impl Waveform {
                 return Some(Span::full(self.period));
             }
             while i < n {
-                if matches(i) && (i > 0 || !matches(n - 1)) {
-                    // Start of a run (runs beginning at segment 0 that
-                    // continue from the end of the period are handled
-                    // from their true start at the tail).
+                if matches(i) && !matches((i + n - 1) % n) {
+                    // Start of a maximal run: the previous segment,
+                    // taken circularly, does not match. A run through
+                    // the end of the period starts at the tail and is
+                    // the last one.
                     let start = self.segment(i).0;
                     let mut width = Time::ZERO;
                     let mut j = i;
@@ -815,43 +816,73 @@ mod tests {
         out
     }
 
-    /// `spans_where` as it was written before it walked the segments in
-    /// place: the reference for `spans_where_iter`.
+    /// The maximal spans where `pred` holds, found without the
+    /// iterator's circular bookkeeping: rotate the segment list to begin
+    /// just after a segment that does not match, collect the runs of
+    /// one linear scan, then order them by start time. The reference for
+    /// `spans_where_iter`.
     fn reference_spans_where(w: &Waveform, pred: impl Fn(Value) -> bool) -> Vec<Span> {
         let segs = reference_segments(w);
         let matches: Vec<bool> = segs.iter().map(|&(_, v, _)| pred(v)).collect();
         if matches.iter().all(|&m| m) {
             return vec![Span::full(w.period())];
         }
-        if !matches.iter().any(|&m| m) {
-            return Vec::new();
-        }
         let n = segs.len();
+        let first = (matches.iter().position(|&m| !m).expect("a segment fails") + 1) % n;
         let mut spans = Vec::new();
-        let mut i = 0;
-        while i < n {
-            if matches[i] && (i > 0 || !matches[n - 1]) {
-                let start = segs[i].0;
-                let mut width = Time::ZERO;
-                let mut j = i;
-                while matches[j % n] {
-                    width += segs[j % n].2;
-                    j += 1;
-                    if j % n == i {
-                        break;
-                    }
+        let mut run: Option<(Time, Time)> = None;
+        for k in 0..n {
+            let (start, v, width) = segs[(first + k) % n];
+            run = match (pred(v), run) {
+                (true, None) => Some((start, width)),
+                (true, Some((s, acc))) => Some((s, acc + width)),
+                (false, Some((s, acc))) => {
+                    spans.push(Span::new(s, acc, w.period()));
+                    None
                 }
-                spans.push(Span::new(start, width, w.period()));
-                if j <= n {
-                    i = j;
-                } else {
-                    break;
-                }
-            } else {
-                i += 1;
-            }
+                (false, None) => None,
+            };
         }
+        if let Some((s, acc)) = run {
+            spans.push(Span::new(s, acc, w.period()));
+        }
+        spans.sort_by_key(|sp| sp.start());
         spans
+    }
+
+    /// Maximal spans never overlap and never abut: the value just before
+    /// and just after each span fails the predicate.
+    fn assert_maximal(w: &Waveform, pred: impl Fn(Value) -> bool, spans: &[Span]) {
+        let period = w.period();
+        for sp in spans {
+            if sp.is_full(period) {
+                assert_eq!(spans.len(), 1);
+                continue;
+            }
+            let before = (sp.start() - Time::from_ps(1)).rem_period(period);
+            assert!(!pred(w.value_at(before)), "{sp:?} extends back");
+            assert!(!pred(w.value_at(sp.end(period))), "{sp:?} extends on");
+        }
+    }
+
+    /// The run through the end of the period used to be split: segment
+    /// 0 was left to the tail, and a second run started at segment 1.
+    #[test]
+    fn spans_where_returns_only_maximal_runs() {
+        let w = Waveform::from_transitions(
+            P,
+            vec![
+                (ns(0.0), One),
+                (ns(12.0), Stable),
+                (ns(22.0), Change),
+                (ns(37.0), Fall),
+                (ns(48.0), One),
+            ],
+        );
+        assert_eq!(
+            w.spans_where(Value::is_quiescent),
+            vec![Span::new(ns(48.0), ns(24.0), P)]
+        );
     }
 
     /// The segment walk, the spans found on it and the listing `Display`
@@ -878,12 +909,14 @@ mod tests {
                 |v| v == Unknown,
             ];
             for pred in preds {
+                let spans = w.spans_where(pred);
                 assert_eq!(
-                    w.spans_where(pred),
+                    spans,
                     reference_spans_where(&w, pred),
                     "{:?}",
                     w.transitions()
                 );
+                assert_maximal(&w, pred, &spans);
             }
             let listed: Vec<String> = reference
                 .iter()
