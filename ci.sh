@@ -21,8 +21,11 @@ cargo test -q --test cli
 # The engine-determinism property suites alone, same reason: the wave
 # engine, the case fan-out and the evaluation cache must stay
 # byte-identical for every worker count (and cache on/off), and the
-# interning store must stay bounded.
-cargo test -q -p scald-verifier --test parallel_settle --test parallel_cases --test eval_cache --test store_growth
+# interning store must stay bounded. The rank pass is held to a
+# brute-force longest-path reference, and the levelized settle must
+# evaluate every primitive of an acyclic design exactly once.
+cargo test -q -p scald-verifier --test parallel_settle --test parallel_cases --test eval_cache --test store_growth --test levelized_settle
+cargo test -q -p scald-verifier --lib rank::
 
 # The checker verdict table alone: the oracle that holds the table-backed
 # checker pass (full and memoized) and slack view to the per-unit

@@ -125,9 +125,9 @@ fn verifier_new_is_builder_alias() {
 /// A clocked inverter ring whose 2 ps feedback delay keeps generating
 /// new edge positions every pass: the worst-case algebra never reaches a
 /// periodic fixed point, so settling exhausts the evaluation budget.
-/// (Because the algebra is worst-case, a loop live under any case
-/// override is also live under the base's `S` — the error surfaces at
-/// the base settle inside `run`, identically for every worker count.)
+/// (The ring does not read `EN`, so it is live under the base's `S`
+/// too — the error surfaces at the base settle inside `run`,
+/// identically for every worker count.)
 fn busy_ring_verifier() -> Verifier {
     let mut b = NetlistBuilder::new(Config::s1_example());
     let w = |s| Conn::new(s).with_wire_delay(DelayRange::ZERO);
@@ -163,7 +163,7 @@ fn oscillation_exhausts_budget_identically_serial_and_parallel() {
         other => panic!("expected Oscillation, got {other:?}"),
     }
 
-    for jobs in [2, 4] {
+    for jobs in [2, 4, 8] {
         let par_err = busy_ring_verifier()
             .run(&RunOptions::new().cases(cases.clone()).jobs(jobs))
             .unwrap_err();
